@@ -5,7 +5,8 @@ corpora and the fitted end-to-end pipeline are built once per session; the
 individual benchmarks then time the experiment-specific work (training the
 models under comparison, clustering, relation extraction, ...) and print the
 same rows the paper reports so the output can be compared side by side with
-the published numbers (see EXPERIMENTS.md).
+the published numbers (the experiment modules in ``src/repro/experiments/``
+carry the paper's values where it reports them, e.g. Table IV's matrix).
 
 Run with::
 

@@ -16,9 +16,9 @@ the "tokens" are characters:
   (``repro-chartag-bundle``) served through the same
   :class:`~repro.serve.registry.ModelRegistry` hot-swap;
 * :class:`CharTagService` — the serving facade with the exact surface the
-  two HTTP front ends are duck-typed over, so ``POST /v1/tag`` with
+  HTTP front end is duck-typed over, so ``POST /v1/tag`` with
   ``{"section": "char"}`` serves this workload from the unchanged
-  servers;
+  server;
 * :func:`structure_document` — maps tagged char spans of a raw document
   onto a :class:`~repro.core.recipe_model.StructuredRecipe`, so the char
   pipeline feeds the recipe index and query engine end to end.

@@ -1,9 +1,9 @@
 """Serving facade for the char-tagging workload.
 
-:class:`CharTagService` exposes the exact surface both HTTP front ends are
+:class:`CharTagService` exposes the exact surface the HTTP front end is
 duck-typed over (``plan_tag`` / ``tag_lines`` / ``tag_line`` / ``reload`` /
 ``model_record`` / ``stats`` / ``close`` plus context management), so
-``make_server`` and the asyncio front end serve a char bundle with zero
+:class:`~repro.serve.aio.AsyncTaggingServer` serves a char bundle with zero
 changes — the only visible difference is the section name: requests address
 ``{"section": "char"}`` and the per-request "tokens" are the line's
 characters.  A single :class:`~repro.serve.microbatch.MicrobatchQueue`
@@ -108,23 +108,19 @@ class CharTagService:
         deadline = None if timeout is None else time.monotonic() + timeout
         tags: list[list[str]] = [[] for _ in lines]
         for positions in plan.chunks:
-            futures = plan.queue.submit_many(
+            group = plan.queue.submit_many(
                 [plan.token_sequences[index] for index in positions]
             )
-            for index, future in zip(positions, futures):
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 and not future.done():
-                        raise TimeoutError(
-                            f"tag request exceeded its {timeout:g}s deadline"
-                        )
-                try:
-                    tags[index] = future.result(timeout=remaining)
-                except TimeoutError:
-                    raise TimeoutError(
-                        f"tag request exceeded its {timeout:g}s deadline"
-                    ) from None
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+            try:
+                results = group.result(timeout=remaining)
+            except TimeoutError:
+                group.cancel()
+                raise TimeoutError(
+                    f"tag request exceeded its {timeout:g}s deadline"
+                ) from None
+            for index, line_tags in zip(positions, results):
+                tags[index] = line_tags
         return [
             {"tokens": list(chars), "tags": line_tags}
             for chars, line_tags in zip(plan.token_sequences, tags)

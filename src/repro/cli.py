@@ -21,7 +21,7 @@ Usage::
     python -m repro index query --index manifest.json --rank -k 10 \
         --facet ingredient --workers 4 'ingredient:tomato OR ingredient:basil'
     python -m repro serve --bundle bundle.json --index manifest.json --port 8080
-    python -m repro serve --bundle bundle.json --async --max-inflight 64 \
+    python -m repro serve --bundle bundle.json --max-inflight 64 \
         --queue-depth 128 --deadline-ms 30000
 
 The experiment sub-commands print the same rows/series the paper reports.
@@ -48,14 +48,13 @@ query`` answers boolean entity queries from either artifact kind (or, with
 ``--rank``/``-k`` order matches by BM25 score from artifact metadata,
 ``--facet FIELD`` adds per-term match-count aggregations, and ``--workers``
 fans per-shard evaluation of a manifest across threads;
+``serve`` runs the asyncio event-loop server: keep-alive + pipelined
+connections, per-endpoint admission control (``--max-inflight`` concurrent
+requests, ``--queue-depth`` waiters, excess load shed with ``429 +
+Retry-After``, ``--deadline-ms`` per-request budget) and chunked NDJSON
+streaming (``"stream": true``) for corpus-sized tag and search responses.
 ``serve --index`` additionally exposes the index (monolithic or manifest) on
-``POST /v1/search``, hot-swappable through ``POST /v1/reload``.  ``serve
---async`` swaps the threaded front end for the asyncio event-loop server:
-keep-alive + pipelined connections, per-endpoint admission control
-(``--max-inflight`` concurrent requests, ``--queue-depth`` waiters, excess
-load shed with ``429 + Retry-After``, ``--deadline-ms`` per-request budget)
-and chunked NDJSON streaming (``"stream": true``) for corpus-sized tag and
-search responses.
+``POST /v1/search``, hot-swappable through ``POST /v1/reload``.
 """
 
 from __future__ import annotations
@@ -528,28 +527,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         help="microbatch coalescing window in milliseconds (default: 2)",
     )
-    serve.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help=(
-            "serve from the asyncio event-loop front end (keep-alive + "
-            "pipelining, admission control, NDJSON streaming) instead of the "
-            "threaded fallback server"
-        ),
-    )
+    # Accepted and ignored: the asyncio server is the only front end, and
+    # scripts written when it was opt-in still pass the flag.
+    serve.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     serve.add_argument(
         "--max-inflight",
         type=int,
         default=64,
-        help="async only: concurrent requests admitted per endpoint (default: 64)",
+        help="concurrent requests admitted per endpoint (default: 64)",
     )
     serve.add_argument(
         "--queue-depth",
         type=int,
         default=128,
         help=(
-            "async only: requests allowed to wait for a slot per endpoint; "
+            "requests allowed to wait for a slot per endpoint; "
             "excess load is shed with 429 + Retry-After (default: 128)"
         ),
     )
@@ -558,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30_000.0,
         help=(
-            "async only: total per-request budget in milliseconds, queue wait "
-            "included; expired requests are abandoned (default: 30000, 0 disables)"
+            "total per-request budget in milliseconds, queue wait included; "
+            "expired requests are abandoned (default: 30000, 0 disables)"
         ),
     )
     serve.add_argument(
@@ -1123,9 +1115,12 @@ def _cmd_index_query(arguments: argparse.Namespace) -> int:
             engine = QueryEngine(
                 load_index_path(arguments.index_path), workers=arguments.workers
             )
-            total, matches = engine.search(arguments.query, limit=limit, rank=rank)
+            result = engine.search(
+                arguments.query, limit=limit, rank=rank, facets=arguments.facets or None
+            )
+            total, matches = result[:2]
             if arguments.facets:
-                facets = engine.facets(arguments.query, arguments.facets)
+                facets = result[2]
         elif rank:
             # The scoring oracle over a corpus scan: same scores, same order
             # as --index mode, corpus-scan cost.
@@ -1193,12 +1188,11 @@ def _scan_facets(
     }
 
 
-def _print_serving_banner(arguments, service, search, port: int, front_end: str) -> None:
+def _print_serving_banner(arguments, service, search, port: int) -> None:
     record = service.model_record()
     print(
         f"serving bundle {record.path} (sha256 {record.sha256[:12]}, "
-        f"generation {record.generation}) on http://{arguments.host}:{port} "
-        f"({front_end} front end)"
+        f"generation {record.generation}) on http://{arguments.host}:{port}"
     )
     if search is not None:
         index_record = search.record()
@@ -1212,8 +1206,15 @@ def _print_serving_banner(arguments, service, search, port: int, front_end: str)
 
 def _cmd_serve(arguments: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
-    from repro.serve import SearchService, make_server
+    from repro.serve import AdmissionPolicy, SearchService
 
+    policy = AdmissionPolicy(
+        max_inflight=arguments.max_inflight,
+        queue_depth=arguments.queue_depth,
+        deadline_s=(
+            arguments.deadline_ms / 1000.0 if arguments.deadline_ms > 0 else None
+        ),
+    )
     service = _make_service(
         arguments,
         max_batch=arguments.max_batch,
@@ -1241,45 +1242,39 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
         ingest = IngestDaemon(arguments.index, arguments.ingest_watch)
         ingest.start()
     try:
-        if arguments.use_async:
-            return _serve_async(arguments, service, search, ingest)
-        server = make_server(
+        return _run_server(
+            arguments,
             service,
+            lambda port: _print_serving_banner(arguments, service, search, port),
             search=search,
-            host=arguments.host,
-            port=arguments.port,
             ingest=ingest,
-            verbose=arguments.verbose,
+            policy=policy,
         )
-        _print_serving_banner(
-            arguments, service, search, server.server_address[1], "threaded"
-        )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
-        return 0
     finally:
         if ingest is not None:
             ingest.stop()
 
 
-def _serve_async(arguments: argparse.Namespace, service, search, ingest=None) -> int:
+def _run_server(
+    arguments: argparse.Namespace,
+    service,
+    banner: Callable[[int], None],
+    *,
+    search=None,
+    ingest=None,
+    policy=None,
+) -> int:
+    """Serve ``service`` on the asyncio front end until SIGINT, then close it.
+
+    ``banner`` gets the bound port (``--port 0`` picks a free one) and
+    prints the startup line clients read it from; ``policy`` is the
+    per-endpoint :class:`~repro.serve.admission.AdmissionPolicy` (the
+    default policy when ``None``).
+    """
     import asyncio
 
-    from repro.serve import AdmissionController, AdmissionPolicy, AsyncTaggingServer
+    from repro.serve import AdmissionController, AsyncTaggingServer
 
-    policy = AdmissionPolicy(
-        max_inflight=arguments.max_inflight,
-        queue_depth=arguments.queue_depth,
-        deadline_s=(
-            arguments.deadline_ms / 1000.0 if arguments.deadline_ms > 0 else None
-        ),
-    )
     server = AsyncTaggingServer(
         service,
         search=search,
@@ -1292,7 +1287,8 @@ def _serve_async(arguments: argparse.Namespace, service, search, ingest=None) ->
 
     async def run() -> None:
         await server.start()
-        _print_serving_banner(arguments, service, search, server.port, "async")
+        banner(server.port)
+        sys.stdout.flush()
         try:
             await server.serve_forever()
         finally:
@@ -1368,7 +1364,6 @@ def _cmd_chartag_tag(arguments: argparse.Namespace) -> int:
 
 def _cmd_chartag_serve(arguments: argparse.Namespace) -> int:
     from repro.chartag import CharTagService
-    from repro.serve import make_server
 
     registry = _chartag_registry(arguments.bundle)
     service = CharTagService(
@@ -1376,28 +1371,16 @@ def _cmd_chartag_serve(arguments: argparse.Namespace) -> int:
         max_batch=arguments.max_batch,
         max_delay_s=arguments.max_delay_ms / 1000.0,
     )
-    server = make_server(
-        service,
-        host=arguments.host,
-        port=arguments.port,
-        verbose=arguments.verbose,
-    )
     record = service.model_record()
-    print(
-        f"serving chartag bundle {record.path} (sha256 {record.sha256[:12]}, "
-        f"generation {record.generation}) on "
-        f"http://{arguments.host}:{server.server_address[1]} "
-        '(section "char")'
+    return _run_server(
+        arguments,
+        service,
+        lambda port: print(
+            f"serving chartag bundle {record.path} (sha256 {record.sha256[:12]}, "
+            f"generation {record.generation}) on http://{arguments.host}:{port} "
+            '(section "char")'
+        ),
     )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
-    return 0
 
 
 def _cmd_chartag_index(arguments: argparse.Namespace) -> int:

@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows the paper's tables report; these
 helpers keep that formatting in one place (fixed-width ASCII tables that read
-well in CI logs and in ``EXPERIMENTS.md``).
+well in CI logs and terminal output).
 """
 
 from __future__ import annotations

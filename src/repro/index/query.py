@@ -242,6 +242,41 @@ def _render_group(node) -> str:
     return f"({rendered})" if isinstance(node, (And, Or)) else rendered
 
 
+def _facet_fields(fields, top) -> list[str]:
+    """Validate :meth:`QueryEngine.facets` arguments; returns the field list."""
+    if isinstance(fields, str):
+        fields = (fields,)
+    fields = list(fields)
+    if not fields:
+        raise QueryError("facets requires at least one field")
+    for field in fields:
+        if field not in FIELDS:
+            raise QueryError(
+                f"unknown facet field {field!r}; expected one of {FIELDS}"
+            )
+    if top is not None and (
+        not isinstance(top, int) or isinstance(top, bool) or top < 0
+    ):
+        raise QueryError("facet 'top' must be a non-negative integer")
+    return fields
+
+
+def _with_scores(matches, scores) -> list:
+    """Attach BM25 ``scores`` to materialised ``matches`` (same order)."""
+    from repro.index.ranking import RankedMatch
+
+    return [
+        RankedMatch(
+            doc_id=match.doc_id,
+            recipe_id=match.recipe_id,
+            title=match.title,
+            spans=match.spans,
+            score=score,
+        )
+        for match, score in zip(matches, scores)
+    ]
+
+
 def _as_node(query):
     node = parse_query(query) if isinstance(query, str) else query
     if not isinstance(node, (Term, And, Or, Not)):
@@ -568,7 +603,9 @@ class QueryEngine:
         limit: int | None = None,
         rank: bool = False,
         params=None,
-    ) -> tuple[int, list[QueryMatch]]:
+        facets=None,
+        facet_top: int | None = 10,
+    ):
         """One evaluation returning ``(total, limited matches)``.
 
         What the serving layer wants: the full match count plus at most
@@ -580,23 +617,26 @@ class QueryEngine:
         :class:`~repro.index.ranking.RankedMatch` objects best-first, ties
         on ascending doc id — element-wise identical across the monolithic,
         sharded and brute-force oracle paths.
+
+        ``facets`` (a field name or list of them) adds the :meth:`facets`
+        aggregation (``facet_top`` terms per field) and makes the result
+        ``(total, matches, facet_counts)``; the counts come from the same
+        matching ids as the page, so a faceted search still evaluates the
+        query once.
         """
         node = _as_node(query)
         if limit is not None and limit < 0:
             raise QueryError("limit must not be negative")
-        if rank:
-            return self._search_ranked(node, limit=limit, params=params)
+        fields = None if facets is None else _facet_fields(facets, facet_top)
         if self._shard_engines is not None:
-            selected = self._eval_sharded(node)
-            total = len(selected)
-            if limit is not None:
-                selected = selected[:limit]
-            return total, self._materialize_sharded(node, selected)
-        ids = self._eval(node)
-        total = len(ids)
-        if limit is not None:
-            ids = ids[:limit]
-        return total, self._materialize(node, ids)
+            total, matches, counts = self._search_sharded(
+                node, limit=limit, rank=rank, params=params, fields=fields, top=facet_top
+            )
+        else:
+            total, matches, counts = self._search_local(
+                node, limit=limit, rank=rank, params=params, fields=fields, top=facet_top
+            )
+        return (total, matches) if fields is None else (total, matches, counts)
 
     def facets(
         self, query, fields, *, top: int | None = 10
@@ -612,48 +652,27 @@ class QueryEngine:
         lives in one shard); shards are counted with ``top=None`` so the
         global top-N cannot miss a term that is mid-pack in every shard.
         """
+        return self.search(query, limit=0, facets=fields, facet_top=top)[2]
+
+    def _search_local(self, node, *, limit, rank, params, fields, top):
+        """:meth:`search` over a single (unsharded) index."""
         from repro.index import ranking
 
-        node = _as_node(query)
-        if isinstance(fields, str):
-            fields = (fields,)
-        fields = list(fields)
-        if not fields:
-            raise QueryError("facets requires at least one field")
-        for field in fields:
-            if field not in FIELDS:
-                raise QueryError(
-                    f"unknown facet field {field!r}; expected one of {FIELDS}"
-                )
-        if top is not None and (
-            not isinstance(top, int) or isinstance(top, bool) or top < 0
-        ):
-            raise QueryError("facet 'top' must be a non-negative integer")
-        if self._shard_engines is not None:
-
-            def shard_counts(shard_index: int) -> dict[str, list[tuple[str, int]]]:
-                engine = self._shard_engines[shard_index]
-                ids = self._live_eval(shard_index, node)
-                return {
-                    field: ranking.facet_counts(engine._index, ids, field, top=None)
-                    for field in fields
-                }
-
-            per_shard = self._map_shards(shard_counts)
-            result: dict[str, list[tuple[str, int]]] = {}
-            for field in fields:
-                totals: dict[str, int] = {}
-                for counts in per_shard:
-                    for term, count in counts[field]:
-                        totals[term] = totals.get(term, 0) + count
-                rows = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-                result[field] = rows[:top] if top is not None else rows
-            return result
         ids = self._eval(node)
-        return {
-            field: ranking.facet_counts(self._index, ids, field, top=top)
-            for field in fields
-        }
+        if rank:
+            scores = ranking.Bm25Scorer(self._index, node, params=params).scores(ids)
+            selected = ranking.select_top_k(zip(ids, scores), limit)
+            base = self._materialize(node, [doc_id for doc_id, _ in selected])
+            matches = _with_scores(base, [score for _, score in selected])
+        else:
+            matches = self._materialize(node, ids if limit is None else ids[:limit])
+        counts = None
+        if fields is not None:
+            counts = {
+                field: ranking.facet_counts(self._index, ids, field, top=top)
+                for field in fields
+            }
+        return len(ids), matches, counts
 
     # ------------------------------------------------------- sharded internals
 
@@ -713,11 +732,17 @@ class QueryEngine:
         # shards), so a k-way heap merge restores exact corpus order.
         return list(heapq.merge(*streams))
 
-    def _search_ranked(self, node, *, limit, params):
-        """BM25-ranked :meth:`search` (both the monolithic and sharded paths)."""
+    def _search_sharded(self, node, *, limit, rank, params, fields, top):
+        """:meth:`search` over a manifest: one evaluation per shard.
+
+        Each shard evaluates the query once and derives from those ids its
+        candidate rows (top-``limit`` by score, or its first ``limit`` ids)
+        and, when asked, its facet counts; the rows are heap-merged into
+        the global page and the counts summed.
+        """
         from repro.index import ranking
 
-        if self._shard_engines is not None:
+        if rank:
             # Global statistics, so each shard scores its local docs to the
             # exact floats the monolithic engine would produce.  Live (not
             # raw) N / avgdl / df: tombstoned docs are out of the corpus as
@@ -733,69 +758,65 @@ class QueryEngine:
                 )
                 for term in ranking.positive_terms(node)
             }
+        key = lambda row: (-row[0], row[1])  # noqa: E731 - (score, global id)
 
-            def shard_top(shard_index: int):
-                engine = self._shard_engines[shard_index]
-                ids = self._live_eval(shard_index, node)
+        def shard_pass(shard_index: int):
+            engine = self._shard_engines[shard_index]
+            ids = self._live_eval(shard_index, node)
+            global_ids = self._index.global_ids(shard_index)
+            if rank:
                 scores = ranking.Bm25Scorer(
                     engine._index, node, stats=stats, df=df, params=params
                 ).scores(ids)
-                global_ids = self._index.global_ids(shard_index)
                 scored = [
                     (scores[i], global_ids[local], shard_index, local)
                     for i, local in enumerate(ids)
                 ]
-                key = lambda row: (-row[0], row[1])  # noqa: E731
-                if limit is None:
-                    return len(ids), sorted(scored, key=key)
                 # Bounded per-shard heap: k rows per shard suffice — the
                 # global top-k cannot contain a doc outside its shard's top-k.
-                return len(ids), heapq.nsmallest(limit, scored, key=key)
+                rows = (
+                    sorted(scored, key=key)
+                    if limit is None
+                    else heapq.nsmallest(limit, scored, key=key)
+                )
+            else:
+                # A shard's ids ascend in global id too, so the global first
+                # `limit` cannot contain a doc past its shard's first `limit`.
+                rows = [
+                    (global_ids[local], shard_index, local)
+                    for local in (ids if limit is None else ids[:limit])
+                ]
+            counts = None
+            if fields is not None:
+                counts = {
+                    field: ranking.facet_counts(engine._index, ids, field, top=None)
+                    for field in fields
+                }
+            return len(ids), rows, counts
 
-            shard_results = self._map_shards(shard_top)
-            total = sum(shard_total for shard_total, _ in shard_results)
-            merged = heapq.merge(
-                *(rows for _, rows in shard_results),
-                key=lambda row: (-row[0], row[1]),
-            )
+        per_shard = self._map_shards(shard_pass)
+        total = sum(shard_total for shard_total, _, _ in per_shard)
+        shard_rows = [rows for _, rows, _ in per_shard]
+        if rank:
+            merged = heapq.merge(*shard_rows, key=key)
             selected = list(merged if limit is None else islice(merged, limit))
-            per_shard: dict[int, list[int]] = {}
-            for _, _, shard_index, local in selected:
-                per_shard.setdefault(shard_index, []).append(local)
-            materialized = {
-                shard_index: deque(
-                    self._shard_engines[shard_index]._materialize(node, locals_)
-                )
-                for shard_index, locals_ in per_shard.items()
-            }
-            matches = [
-                ranking.RankedMatch(
-                    doc_id=global_id,
-                    recipe_id=match.recipe_id,
-                    title=match.title,
-                    spans=match.spans,
-                    score=score,
-                )
-                for score, global_id, shard_index, _ in selected
-                for match in (materialized[shard_index].popleft(),)
-            ]
-            return total, matches
-        ids = self._eval(node)
-        total = len(ids)
-        scores = ranking.Bm25Scorer(self._index, node, params=params).scores(ids)
-        selected = ranking.select_top_k(zip(ids, scores), limit)
-        base = self._materialize(node, [doc_id for doc_id, _ in selected])
-        matches = [
-            ranking.RankedMatch(
-                doc_id=match.doc_id,
-                recipe_id=match.recipe_id,
-                title=match.title,
-                spans=match.spans,
-                score=score,
-            )
-            for match, (_, score) in zip(base, selected)
-        ]
-        return total, matches
+            base = self._materialize_sharded(node, [row[1:] for row in selected])
+            matches = _with_scores(base, [row[0] for row in selected])
+        else:
+            merged = heapq.merge(*shard_rows)
+            selected = list(merged if limit is None else islice(merged, limit))
+            matches = self._materialize_sharded(node, selected)
+        counts = None
+        if fields is not None:
+            counts = {}
+            for field in fields:
+                totals: dict[str, int] = {}
+                for _, _, shard_counts in per_shard:
+                    for term, count in shard_counts[field]:
+                        totals[term] = totals.get(term, 0) + count
+                rows = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+                counts[field] = rows[:top] if top is not None else rows
+        return total, matches, counts
 
     def _materialize_sharded(
         self, node, selected: list[tuple[int, int, int]]
@@ -911,6 +932,8 @@ class QueryEngine:
     def _materialize(self, node, ids: list[int]) -> list[QueryMatch]:
         """Build the result objects: resolve each positive term's posting
         list once for the whole query, then only bisect per (term, doc)."""
+        if not ids:
+            return []  # e.g. a facets-only search: resolve no posting list
         resolved: dict[tuple[str, str], PostingList | None] = {}
         _resolve_terms(node, self._index, resolved)
 

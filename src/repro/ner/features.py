@@ -143,10 +143,12 @@ def _instruction_lexical(token: str) -> tuple[str, ...]:
 class TokenFeatureExtractor:
     """Base extractor producing context-window lexical features.
 
-    Subclasses extend :meth:`token_features` with domain-specific triggers.
-    The extractor is deliberately stateless so one instance can be shared by
-    parallel experiments and by the serving threads (the token memos above
-    are module-level and thread-safe).
+    Subclasses append domain-specific triggers in :meth:`_extend`, which
+    sees the whole sequence at once so prefix state (open parentheses, a
+    preceding comma) is carried forward in one pass instead of rescanned at
+    every position.  The extractor is deliberately stateless so one instance
+    can be shared by parallel experiments and by the serving threads (the
+    token memos above are module-level and thread-safe).
     """
 
     window = 2
@@ -154,79 +156,83 @@ class TokenFeatureExtractor:
     def sequence_features(self, tokens: Sequence[str]) -> list[list[str]]:
         """Feature lists for every position of ``tokens``."""
         lowered = [token.lower() for token in tokens]
-        return [self.token_features(lowered, index, tokens) for index in range(len(tokens))]
-
-    def token_features(self, lowered: Sequence[str], index: int, raw: Sequence[str]) -> list[str]:
-        """Features for position ``index``; ``lowered`` is the lower-cased view."""
-        token = lowered[index]
         length = len(lowered)
-        head, flags = _token_lexical(token, raw[index])
-        features = list(head)
-        features.append(
-            "pos_in_seq=first"
-            if index == 0
-            else "pos_in_seq=last" if index == length - 1 else "pos_in_seq=mid"
-        )
-        features.extend(flags)
-        for offset, left_label, right_label, left_boundary, right_boundary in _window_labels(
-            self.window
-        ):
+        last = length - 1
+        numberish = [_is_numberish(token) for token in lowered]
+        windows = _window_labels(self.window)
+        sequence = []
+        for index, token in enumerate(lowered):
+            head, flags = _token_lexical(token, tokens[index])
+            features = list(head)
             features.append(
-                _neighbor_feature(left_label, lowered[index - offset])
-                if index - offset >= 0
-                else left_boundary
+                "pos_in_seq=first"
+                if index == 0
+                else "pos_in_seq=last" if index == last else "pos_in_seq=mid"
             )
-            features.append(
-                _neighbor_feature(right_label, lowered[index + offset])
-                if index + offset < length
-                else right_boundary
-            )
-        if index > 0 and _is_numberish(lowered[index - 1]):
-            features.append("prev_is_number")
-        if index + 1 < length and _is_numberish(lowered[index + 1]):
-            features.append("next_is_number")
-        return features
+            features.extend(flags)
+            for offset, left_label, right_label, left_boundary, right_boundary in windows:
+                features.append(
+                    _neighbor_feature(left_label, lowered[index - offset])
+                    if index - offset >= 0
+                    else left_boundary
+                )
+                features.append(
+                    _neighbor_feature(right_label, lowered[index + offset])
+                    if index + offset < length
+                    else right_boundary
+                )
+            if index > 0 and numberish[index - 1]:
+                features.append("prev_is_number")
+            if index < last and numberish[index + 1]:
+                features.append("next_is_number")
+            sequence.append(features)
+        self._extend(lowered, sequence)
+        return sequence
+
+    def _extend(self, lowered: Sequence[str], sequence: list[list[str]]) -> None:
+        """Append subclass features to each position's list, in place;
+        ``lowered`` is the lower-cased view of the tokens."""
 
 
 class IngredientFeatureExtractor(TokenFeatureExtractor):
     """Features tuned for the seven ingredient attributes of Table II."""
 
-    def token_features(self, lowered: Sequence[str], index: int, raw: Sequence[str]) -> list[str]:
-        features = super().token_features(lowered, index, raw)
-        token = lowered[index]
-        features.extend(_ingredient_lexical(token))
-        # Parenthesis context: "( thawed )", "(8 ounce) package".
+    def _extend(self, lowered: Sequence[str], sequence: list[list[str]]) -> None:
+        # Parenthesis context: "( thawed )", "(8 ounce) package" -- the state
+        # of the tokens strictly before each position.
         has_open = has_close = has_comma = False
-        for position in range(index):
-            previous = lowered[position]
-            if previous == "(":
+        previous = None
+        for token, features in zip(lowered, sequence):
+            features.extend(_ingredient_lexical(token))
+            if has_open and not has_close:
+                features.append("inside_parens")
+            if previous == ",":
+                features.append("after_comma")
+            if has_comma:
+                features.append("after_any_comma")
+            if token == "(":
                 has_open = True
-            elif previous == ")":
+            elif token == ")":
                 has_close = True
-            elif previous == ",":
+            elif token == ",":
                 has_comma = True
-        if has_open and not has_close:
-            features.append("inside_parens")
-        if index > 0 and lowered[index - 1] == ",":
-            features.append("after_comma")
-        if has_comma:
-            features.append("after_any_comma")
-        return features
+            previous = token
 
 
 class InstructionFeatureExtractor(TokenFeatureExtractor):
     """Features tuned for processes, utensils and ingredients in instructions."""
 
-    def token_features(self, lowered: Sequence[str], index: int, raw: Sequence[str]) -> list[str]:
-        features = super().token_features(lowered, index, raw)
-        token = lowered[index]
-        if index == 0:
-            features.append("sentence_initial")  # imperative verbs open the step
-        features.extend(_instruction_lexical(token))
-        if index > 0 and lowered[index - 1] in _PREPOSITIONS:
-            features.append("after_preposition")
-        if index > 0 and lowered[index - 1] in _DETERMINERS:
-            features.append("after_determiner")
-        if index + 1 < len(lowered) and lowered[index + 1] in _PREPOSITIONS:
-            features.append("before_preposition")
-        return features
+    def _extend(self, lowered: Sequence[str], sequence: list[list[str]]) -> None:
+        last = len(lowered) - 1
+        previous = None
+        for index, (token, features) in enumerate(zip(lowered, sequence)):
+            if index == 0:
+                features.append("sentence_initial")  # imperative verbs open the step
+            features.extend(_instruction_lexical(token))
+            if previous in _PREPOSITIONS:
+                features.append("after_preposition")
+            if previous in _DETERMINERS:
+                features.append("after_determiner")
+            if index < last and lowered[index + 1] in _PREPOSITIONS:
+                features.append("before_preposition")
+            previous = token

@@ -1,4 +1,4 @@
-"""Serving layer: warm registry, microbatching, two HTTP front ends.
+"""Serving layer: warm registry, microbatching, one asyncio HTTP front end.
 
 The ROADMAP north star is serving recipe tagging to many concurrent clients,
 which needs things the library core deliberately does not provide:
@@ -11,19 +11,15 @@ which needs things the library core deliberately does not provide:
   concurrent tag requests into one length-bucketed batch decode per flush
   (one kernel call instead of one per request);
 * :mod:`repro.serve.service` / :mod:`repro.serve.search` -- the
-  :class:`TaggingService` and :class:`SearchService` facades both front
-  ends talk to;
-* :mod:`repro.serve.aio` -- the event-loop front door: an asyncio HTTP/1.1
-  server with keep-alive + pipelining, admission control
-  (:mod:`repro.serve.admission`: bounded per-endpoint queues, load shedding
-  with ``429 + Retry-After``, request deadlines) and chunked NDJSON
-  streaming for corpus-sized responses;
-* :mod:`repro.serve.http` -- the stdlib threaded HTTP server, kept as a
-  fallback front end over the same facades and shared route logic
-  (:mod:`repro.serve.routes`);
+  :class:`TaggingService` and :class:`SearchService` facades the front
+  end talks to;
+* :mod:`repro.serve.aio` -- the front end: an asyncio HTTP/1.1 server with
+  keep-alive + pipelining, admission control (:mod:`repro.serve.admission`:
+  bounded per-endpoint queues, load shedding with ``429 + Retry-After``,
+  request deadlines) and chunked NDJSON streaming for corpus-sized
+  responses, answering from the route logic in :mod:`repro.serve.routes`;
 * :mod:`repro.serve.metrics` -- per-endpoint latency/queue-wait histograms
-  and request/shed/error counters recorded by both servers and reported by
-  ``GET /stats``.
+  and request/shed/error counters reported by ``GET /stats``.
 
 Everything here is pure stdlib + the existing engine; there is no new
 dependency to deploy.
@@ -41,7 +37,6 @@ from repro.serve.aio import (
     start_in_thread,
     tag_lines_async,
 )
-from repro.serve.http import TaggingHTTPServer, make_server
 from repro.serve.metrics import LatencyHistogram, ServerMetrics
 from repro.serve.microbatch import MicrobatchQueue, QueueSaturatedError
 from repro.serve.registry import ModelRecord, ModelRegistry
@@ -62,10 +57,8 @@ __all__ = [
     "QueueSaturatedError",
     "SearchService",
     "ServerMetrics",
-    "TaggingHTTPServer",
     "TaggingService",
     "index_registry",
-    "make_server",
     "start_in_thread",
     "tag_lines_async",
 ]

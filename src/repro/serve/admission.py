@@ -1,7 +1,6 @@
 """Admission control for the asyncio front door: bounded queues + deadlines.
 
-The threaded server's only defence against overload is thread growth; the
-asyncio server instead passes every request through an
+The asyncio server passes every request through an
 :class:`AdmissionController` before any work happens:
 
 * at most ``max_inflight`` requests per endpoint execute concurrently;

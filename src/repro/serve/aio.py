@@ -1,9 +1,7 @@
 """Asyncio HTTP/1.1 front end: event loop + admission control + streaming.
 
-The threaded server (:mod:`repro.serve.http`) spends one OS thread per
-connection, which caps real concurrency far below what the microbatch queue
-can drain.  :class:`AsyncTaggingServer` serves the same endpoints from a
-single event loop on :func:`asyncio.start_server`:
+:class:`AsyncTaggingServer` serves every endpoint from a single event loop
+on :func:`asyncio.start_server`:
 
 * **keep-alive + pipelining** -- each connection is one coroutine reading
   requests back-to-back; pipelined requests already sitting in the socket
@@ -17,9 +15,10 @@ single event loop on :func:`asyncio.start_server`:
 * **async microbatch bridge** -- the event loop never blocks on a decode:
   queue futures are awaited through :func:`asyncio.wrap_future`
   (:func:`tag_lines_async`), and index searches / artifact reloads run in
-  the default executor.  Results are byte-identical to the threaded server's
-  because both execute the same :class:`~repro.serve.service.TagPlan` and
-  the same route logic (:mod:`repro.serve.routes`).
+  the default executor.  Tag results are byte-identical to
+  :meth:`~repro.serve.service.TaggingService.tag_lines` because both execute
+  the same :class:`~repro.serve.service.TagPlan`; response documents come
+  from the route logic in :mod:`repro.serve.routes`.
 * **streaming NDJSON** -- ``POST /v1/tag`` and ``POST /v1/search`` with
   ``"stream": true`` answer ``application/x-ndjson`` over chunked transfer
   encoding: one meta object line, then one JSON object per line/match,
@@ -32,7 +31,9 @@ single event loop on :func:`asyncio.start_server`:
   ``GET /stats`` alongside the admission gate counters.
 
 :func:`start_in_thread` runs the whole server on a background thread's event
-loop for tests, benchmarks and callers that are not themselves async.
+loop for tests, benchmarks and callers that are not themselves async; the
+``repro serve`` and ``repro chartag serve`` commands run it on the main
+thread until SIGINT.
 """
 
 from __future__ import annotations
@@ -82,20 +83,17 @@ async def tag_lines_async(
     """Async twin of :meth:`TaggingService.tag_lines`.
 
     Executes the same budget-bounded :class:`~repro.serve.service.TagPlan`
-    chunk by chunk, awaiting the queue's ``concurrent.futures`` futures via
+    chunk by chunk, awaiting each chunk's queue future via
     :func:`asyncio.wrap_future` so the event loop keeps serving other
     connections while the decode runs on the queue's worker thread.
-    Cancellation (a deadline firing) propagates into the queue futures, and
-    the queue drops cancelled requests before decoding them.
+    Cancellation (a deadline firing) propagates into the queue future, and
+    the queue drops the cancelled chunk's lines before decoding them.
     """
     plan = service.plan_tag(section, lines)
     tags: list[list[str]] = [[] for _ in plan.token_sequences]
     for positions in plan.chunks:
-        futures = plan.queue.submit_many(
-            [plan.token_sequences[index] for index in positions]
-        )
-        results = await asyncio.gather(
-            *(asyncio.wrap_future(future) for future in futures)
+        results = await asyncio.wrap_future(
+            plan.queue.submit_many([plan.token_sequences[index] for index in positions])
         )
         for index, line_tags in zip(positions, results):
             tags[index] = line_tags
@@ -179,8 +177,7 @@ class AsyncTaggingServer:
     """Event-loop HTTP server over the tagging/search facades.
 
     Args:
-        service: The microbatched tagging facade (shared with the threaded
-            server).
+        service: The microbatched tagging facade.
         search: Optional search facade enabling ``POST /v1/search``.
         host / port: Bind address (``port=0`` picks a free port; the chosen
             port is on :attr:`port` after :meth:`start`).
@@ -312,7 +309,7 @@ class AsyncTaggingServer:
     async def _read_json_body(
         self, request: _Request, reader: asyncio.StreamReader
     ) -> dict:
-        """Read + parse the request body (same contract as the threaded server)."""
+        """Read + parse the request body (``{}`` when there is none)."""
         if "chunked" in request.headers.get("transfer-encoding", "").lower():
             # Without a Content-Length the chunked body would go unread and
             # desync keep-alive framing; refuse it and close the connection.
@@ -516,11 +513,8 @@ class AsyncTaggingServer:
                 emitted += 1
 
         for positions in plan.chunks:
-            futures = plan.queue.submit_many(
-                [plan.token_sequences[index] for index in positions]
-            )
-            results = await asyncio.gather(
-                *(asyncio.wrap_future(future) for future in futures)
+            results = await asyncio.wrap_future(
+                plan.queue.submit_many([plan.token_sequences[index] for index in positions])
             )
             for index, line_tags in zip(positions, results):
                 resolved[index] = line_tags
@@ -563,9 +557,9 @@ class AsyncTaggingServer:
 class AsyncServerHandle:
     """A running :class:`AsyncTaggingServer` on a background event loop.
 
-    The handle is what synchronous callers (tests, benchmarks, the threaded
-    CLI) interact with: :attr:`port` to connect, :meth:`close` to stop the
-    loop and join the thread.
+    The handle is what synchronous callers (tests, benchmarks) interact
+    with: :attr:`port` to connect, :meth:`close` to stop the loop and join
+    the thread.
     """
 
     def __init__(

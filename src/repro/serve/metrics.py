@@ -1,9 +1,7 @@
 """Serving observability: latency histograms, counters, structured access log.
 
-Both HTTP front ends (the threaded server in :mod:`repro.serve.http` and the
-asyncio server in :mod:`repro.serve.aio`) record every request into one
-:class:`ServerMetrics` instance, so ``GET /stats`` answers the same schema
-regardless of which front door took the traffic:
+The HTTP front end (:mod:`repro.serve.aio`) records every request into one
+:class:`ServerMetrics` instance, which ``GET /stats`` reports:
 
 * :class:`LatencyHistogram` -- fixed log-spaced buckets (quarter decades from
   0.1 ms to 100 s) with p50/p95/p99 estimated by interpolation inside the
@@ -15,8 +13,8 @@ regardless of which front door took the traffic:
   structured access log (one JSON object per request on a caller-supplied
   stream).
 
-Everything is stdlib-only and thread-safe; the asyncio server calls it from
-the event loop, the threaded server from handler threads.
+Everything is stdlib-only and thread-safe: the server records from its
+event loop while other threads may read snapshots.
 """
 
 from __future__ import annotations

@@ -31,6 +31,26 @@ class QueueSaturatedError(ReproError):
     """The queue's pending backlog is full; the caller should shed load."""
 
 
+class _Group(Future):
+    """One future for a whole :meth:`MicrobatchQueue.submit_many` call.
+
+    Only the queue's worker thread fills slots, so the countdown needs no
+    lock; the future resolves to the tag lists in submission order once the
+    last slot is filled, or fails with the first flush error.
+    """
+
+    def __init__(self, size: int) -> None:
+        super().__init__()
+        self.results: list = [None] * size
+        self.missing = size
+
+
+#: One queued request: (tokens, future, slot) -- the future is the request's
+#: own (slot None) or a _Group shared by a whole submit_many call (slot = the
+#: sequence's position in it).
+_Entry = tuple[tuple[str, ...], Future, int | None]
+
+
 class MicrobatchQueue:
     """Coalesces concurrent tag requests into one batched decode per flush.
 
@@ -75,7 +95,7 @@ class MicrobatchQueue:
         self.name = name
         self._lock = threading.Lock()
         self._has_work = threading.Condition(self._lock)
-        self._pending: list[tuple[tuple[str, ...], Future]] = []
+        self._pending: list[_Entry] = []
         self._closed = False
         self._requests_total = 0
         self._flushes_total = 0
@@ -94,7 +114,7 @@ class MicrobatchQueue:
         future: Future = Future()
         with self._has_work:
             self._check_accepts(1)
-            self._pending.append((tuple(tokens), future))
+            self._pending.append((tuple(tokens), future, None))
             self._requests_total += 1
             self._has_work.notify()
         return future
@@ -103,23 +123,28 @@ class MicrobatchQueue:
         """Synchronous single-sequence tagging through the queue."""
         return self.submit(tokens).result(timeout=timeout)
 
-    def submit_many(self, token_sequences: Sequence[Sequence[str]]) -> list[Future]:
-        """Enqueue many sequences under one lock acquisition (one wake-up).
+    def submit_many(self, token_sequences: Sequence[Sequence[str]]) -> Future:
+        """Enqueue many sequences; one future resolves to all their tag lists.
 
-        A multi-line request should not pay per-line lock/notify overhead,
-        and landing the whole group at once lets the worker skip the
-        coalescing window when the group already fills a batch.
+        The group lands under one lock acquisition (one wake-up), so a
+        multi-line request pays no per-line lock, notify or ``Future``, and
+        the worker skips the coalescing window when the group already fills
+        a batch.  Cancelling the future drops the group's still-queued
+        sequences instead of decoding them.
         """
-        futures: list[Future] = [Future() for _ in token_sequences]
+        group = _Group(len(token_sequences))
+        if not token_sequences:
+            group.set_result([])
+            return group
         with self._has_work:
-            self._check_accepts(len(futures))
+            self._check_accepts(len(token_sequences))
             self._pending.extend(
-                (tuple(tokens), future)
-                for tokens, future in zip(token_sequences, futures)
+                (tuple(tokens), group, slot)
+                for slot, tokens in enumerate(token_sequences)
             )
-            self._requests_total += len(futures)
+            self._requests_total += len(token_sequences)
             self._has_work.notify()
-        return futures
+        return group
 
     def tag_many(
         self, token_sequences: Sequence[Sequence[str]], *, timeout: float | None = None
@@ -127,31 +152,19 @@ class MicrobatchQueue:
         """Submit every sequence up front, then gather (requests coalesce).
 
         ``timeout`` is an *overall* deadline for the whole batch, not a
-        per-future wait: a 100-sequence call cannot stretch the budget
-        100-fold.  The first wait to find the deadline spent raises
-        ``TimeoutError`` immediately instead of polling the remaining
-        futures.
+        per-sequence wait: a 100-sequence call cannot stretch the budget
+        100-fold.  A call that times out cancels its group.
         """
-        futures = self.submit_many(token_sequences)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        results: list[list[str]] = []
-        for future in futures:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 and not future.done():
-                    raise TimeoutError(
-                        f"tag_many exceeded its overall {timeout:g}s deadline "
-                        f"after {len(results)} of {len(futures)} results"
-                    )
-            try:
-                results.append(future.result(timeout=remaining))
-            except TimeoutError:
-                raise TimeoutError(
-                    f"tag_many exceeded its overall {timeout:g}s deadline "
-                    f"after {len(results)} of {len(futures)} results"
-                ) from None
-        return results
+        group = self.submit_many(token_sequences)
+        try:
+            return group.result(timeout=timeout)
+        except TimeoutError:
+            group.cancel()
+            raise TimeoutError(
+                f"tag_many exceeded its overall {timeout:g}s deadline after "
+                f"{len(token_sequences) - group.missing} of "
+                f"{len(token_sequences)} results"
+            ) from None
 
     def _check_accepts(self, count: int) -> None:
         """Reject submits on a closed or saturated queue (holds the lock)."""
@@ -182,29 +195,29 @@ class MicrobatchQueue:
                 self._pending = []
             self._flush(batch)
 
-    def _flush(self, batch: list[tuple[tuple[str, ...], Future]]) -> None:
+    def _flush(self, batch: list[_Entry]) -> None:
         # Abandoned work is dropped here, not decoded: a caller that gave up
         # (an async request past its deadline cancels its future) should not
         # cost a lattice sweep.  Cancellation can still race the flush, so
         # every set_result/set_exception below tolerates a concurrently
         # cancelled future instead of crashing the worker.
-        abandoned = sum(1 for _, future in batch if future.cancelled())
+        abandoned = sum(1 for _, future, _ in batch if future.cancelled())
         if abandoned:
             with self._lock:
                 self._cancelled_total += abandoned
             batch = [entry for entry in batch if not entry[1].cancelled()]
         chunks = plan_flush_chunks(
-            [len(tokens) for tokens, _ in batch],
+            [len(tokens) for tokens, _, _ in batch],
             max_sentences=self.max_batch,
             max_tokens=self.max_tokens,
         )
         for chunk in chunks:
             requests = [batch[index] for index in chunk]
             try:
-                results = self._tag_batch([tokens for tokens, _ in requests])
+                results = self._tag_batch([tokens for tokens, _, _ in requests])
             except BaseException as error:  # noqa: BLE001 - must reach the callers
-                for _, future in requests:
-                    self._resolve(future, error=error)
+                for _, future, slot in requests:
+                    self._resolve(future, slot, error=error)
                 continue
             if len(results) != len(requests):
                 # A short list would strand the unmatched futures forever
@@ -215,25 +228,32 @@ class MicrobatchQueue:
                     f"{len(requests)} requests; every request in a flush must "
                     "receive exactly one tag sequence"
                 )
-                for _, future in requests:
-                    self._resolve(future, error=mismatch)
+                for _, future, slot in requests:
+                    self._resolve(future, slot, error=mismatch)
                 continue
-            for (_, future), tags in zip(requests, results):
-                self._resolve(future, result=list(tags))
+            for (_, future, slot), tags in zip(requests, results):
+                self._resolve(future, slot, result=list(tags))
             with self._lock:
                 self._flushes_total += 1
                 self._flushed_requests += len(requests)
                 self._largest_flush = max(self._largest_flush, len(requests))
 
     @staticmethod
-    def _resolve(future: Future, *, result=None, error=None) -> None:
-        """Complete ``future``, tolerating a concurrent cancellation.
+    def _resolve(future: Future, slot: int | None, *, result=None, error=None) -> None:
+        """Complete one request, tolerating a concurrent cancellation.
 
         An async caller whose deadline expired may cancel its future at any
         moment; ``set_result`` on a cancelled future raises
         ``InvalidStateError``, which would kill the worker thread and strand
-        every queue forever.
+        every queue forever.  A group resolves once its last slot is filled,
+        or at its first error.
         """
+        if slot is not None and error is None:
+            future.results[slot] = result
+            future.missing -= 1
+            if future.missing:
+                return
+            result = future.results
         try:
             if error is not None:
                 future.set_exception(error)

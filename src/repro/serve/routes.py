@@ -1,12 +1,10 @@
-"""Route logic shared by both HTTP front ends.
+"""Route logic of the HTTP front end, kept apart from its protocol code.
 
-The threaded server (:mod:`repro.serve.http`) and the asyncio server
-(:mod:`repro.serve.aio`) expose the same endpoints over the same
+The asyncio server (:mod:`repro.serve.aio`) exposes its endpoints over the
 :class:`~repro.serve.service.TaggingService` /
 :class:`~repro.serve.search.SearchService` facades.  Everything that decides
-*what* a response says lives here as pure functions over those facades, so
-the two servers can only differ in *how* bytes move — responses stay
-byte-identical by construction.
+*what* a response says lives here as pure functions over those facades;
+:mod:`repro.serve.aio` only decides *how* the bytes move.
 
 :class:`HttpError` carries an explicit status code for protocol-level
 failures the generic exception mapping cannot express (e.g. ``411 Length
@@ -33,7 +31,7 @@ __all__ = [
     "validate_tag_body",
 ]
 
-#: Largest request body either server will read.
+#: Largest request body the server will read.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Advisory Retry-After seconds when the microbatch backlog sheds a request.
@@ -161,8 +159,9 @@ def search_arguments(body: dict) -> tuple[str, int | None, dict]:
     ``options`` carries the ranked-retrieval extensions — ``"rank": true``
     for BM25 top-k ordering, ``"facets": ["ingredient", ...]`` for per-field
     match-count aggregations — exactly as the client sent them; the
-    :class:`~repro.serve.search.SearchService` validates their types so both
-    front ends reject malformed values with the same message.
+    :class:`~repro.serve.search.SearchService` validates their types, so the
+    HTTP endpoint and in-process callers reject malformed values with the
+    same message.
     """
     options = {}
     if "rank" in body:

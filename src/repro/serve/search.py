@@ -2,7 +2,7 @@
 
 :class:`SearchService` is to ``POST /v1/search`` what
 :class:`~repro.serve.service.TaggingService` is to ``POST /v1/tag``: the
-front ends talk to it, and it resolves the serving artifact through a
+HTTP front end talks to it, and it resolves the serving artifact through a
 :class:`~repro.serve.registry.ModelRegistry` *per request*, so a hot-swap
 reload (new index artifact on disk) takes effect on the very next query
 without restarting the server.  The registry is constructed with
@@ -133,8 +133,12 @@ class SearchService:
             raise QueryError("'facets' must be a list of field names")
         self._maybe_auto_reload()
         record = self.record()
-        engine = QueryEngine(record.bundle)
-        total, matches = engine.search(query, limit=limit, rank=rank)
+        # One engine call per request: a faceted search counts its facets
+        # from the ids the page came from instead of re-evaluating the query.
+        result = QueryEngine(record.bundle).search(
+            query, limit=limit, rank=rank, facets=facets or None
+        )
+        total, matches = result[:2]
         meta = {
             "query": query,
             "total": total,
@@ -150,7 +154,7 @@ class SearchService:
         if facets:
             meta["facets"] = {
                 field: [{"term": term, "count": count} for term, count in rows]
-                for field, rows in engine.facets(query, facets).items()
+                for field, rows in result[2].items()
             }
         return meta, (match.to_dict() for match in matches)
 

@@ -134,23 +134,19 @@ class TaggingService:
         deadline = None if timeout is None else time.monotonic() + timeout
         tags: list[list[str]] = [[] for _ in lines]
         for positions in plan.chunks:
-            futures = plan.queue.submit_many(
+            group = plan.queue.submit_many(
                 [plan.token_sequences[index] for index in positions]
             )
-            for index, future in zip(positions, futures):
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 and not future.done():
-                        raise TimeoutError(
-                            f"tag request exceeded its {timeout:g}s deadline"
-                        )
-                try:
-                    tags[index] = future.result(timeout=remaining)
-                except TimeoutError:
-                    raise TimeoutError(
-                        f"tag request exceeded its {timeout:g}s deadline"
-                    ) from None
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+            try:
+                results = group.result(timeout=remaining)
+            except TimeoutError:
+                group.cancel()
+                raise TimeoutError(
+                    f"tag request exceeded its {timeout:g}s deadline"
+                ) from None
+            for index, line_tags in zip(positions, results):
+                tags[index] = line_tags
         return [
             {"tokens": list(tokens), "tags": line_tags}
             for tokens, line_tags in zip(plan.token_sequences, tags)

@@ -3,12 +3,13 @@
 The parity suite: the same lines tagged (a) one at a time through the
 tagger, (b) batched through the tagger, (c) through the service's
 microbatch queue, and (d) over a real HTTP round trip through the
-unchanged ``make_server`` front end must be element-wise identical.
+unchanged asyncio front end must be element-wise identical.
 """
 
 from __future__ import annotations
 
 import json
+import signal
 import threading
 import urllib.error
 import urllib.request
@@ -17,7 +18,7 @@ import pytest
 
 from repro.chartag import CHAR_SECTION, CharTagBundle, CharTagService
 from repro.errors import ConfigurationError
-from repro.serve import ModelRegistry, make_server, start_in_thread
+from repro.serve import ModelRegistry, start_in_thread
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +45,8 @@ def service(registry):
 
 @pytest.fixture()
 def server(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
+    with start_in_thread(service) as handle:
+        yield handle
 
 
 def _request(port, path, *, body=None):
@@ -84,7 +79,7 @@ class TestParity:
         assert [result["tokens"] for result in served] == [list(l) for l in LINES]
 
     def test_http_round_trip_is_identical(self, server, service, tagger):
-        port = server.server_address[1]
+        port = server.port
         status, document = _request(
             port, "/v1/tag", body={"section": CHAR_SECTION, "lines": LINES}
         )
@@ -118,20 +113,12 @@ class TestParity:
             thread.join()
         assert all(result == expected for result in results)
 
-    def test_async_front_end_serves_char_too(self, service, tagger):
-        with start_in_thread(service) as handle:
-            status, document = _request(
-                handle.port, "/v1/tag", body={"section": CHAR_SECTION, "lines": LINES}
-            )
-        assert status == 200
-        assert [r["tags"] for r in document["results"]] == tagger.tag_batch(LINES)
-
 
 class TestSurface:
     def test_unknown_section_is_rejected(self, service, server):
         with pytest.raises(ConfigurationError, match="unknown section"):
             service.tag_lines("ingredient", ["x"])
-        port = server.server_address[1]
+        port = server.port
         status, document = _request(
             port, "/v1/tag", body={"section": "ingredient", "lines": ["x"]}
         )
@@ -146,7 +133,7 @@ class TestSurface:
         assert "decode_hits" in stats["caches"][CHAR_SECTION]
 
     def test_reload_hot_swaps_through_http(self, server):
-        port = server.server_address[1]
+        port = server.port
         status, document = _request(port, "/v1/reload", body={"force": True})
         assert status == 200
         assert document["swapped"] is True
@@ -157,9 +144,26 @@ class TestSurface:
         assert document["model"]["generation"] == generation
 
     def test_healthz(self, server):
-        status, document = _request(server.server_address[1], "/healthz")
+        status, document = _request(server.port, "/healthz")
         assert status == 200
         assert document["status"] == "ok"
+
+    def test_chartag_serve_command_starts_and_stops_on_sigint(
+        self, chartag_bundle_path, serve_process, tagger
+    ):
+        process, port = serve_process(
+            ["chartag", "serve", "--bundle", str(chartag_bundle_path), "--port", "0"]
+        )
+        status, document = _request(
+            port, "/v1/tag", body={"section": CHAR_SECTION, "lines": LINES}
+        )
+        assert status == 200
+        assert [r["tags"] for r in document["results"]] == tagger.tag_batch(LINES)
+        status, stats = _request(port, "/stats")
+        assert status == 200
+        assert "admission" in stats  # the admission-gated asyncio server
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=30) == 0
 
     def test_plan_tag_bounds_chunks(self, registry):
         with CharTagService(registry, max_batch=2, max_tokens=64) as service:

@@ -8,8 +8,17 @@ a session-scoped fixture.
 
 from __future__ import annotations
 
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.pipeline import RecipeModeler, RecipeModelerConfig
 from repro.data.generator import GeneratorConfig, RecipeCorpusGenerator
 from repro.data.models import Source
@@ -92,3 +101,48 @@ def clean_generator():
 def clean_corpus(clean_generator):
     """A small noise-free corpus (gold tags exactly follow the templates)."""
     return RecipeDB(clean_generator.generate_corpus(15))
+
+
+@pytest.fixture()
+def serve_process():
+    """Start a ``python -m repro`` server command as a child process.
+
+    Returns ``start(argv) -> (process, port)``: it waits for the startup
+    banner on stdout and reads the bound port from its ``http://host:PORT``
+    (pass ``--port 0``).  The child gets the default SIGINT disposition, so
+    ``process.send_signal(SIGINT)`` stops it even when the test runner
+    ignores SIGINT.  Children still running at teardown are killed.
+    """
+    env = dict(os.environ)
+    source = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    processes: list[subprocess.Popen] = []
+
+    def start(argv: list[str]) -> tuple[subprocess.Popen, int]:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        processes.append(process)
+        banner: list[str] = []
+        reader = threading.Thread(
+            target=lambda: banner.append(process.stdout.readline()), daemon=True
+        )
+        reader.start()
+        reader.join(60)
+        match = re.search(r"http://[^:]+:(\d+)", banner[0]) if banner else None
+        if match is None:
+            process.kill()
+            _, stderr = process.communicate()
+            pytest.fail(f"{argv[0]} printed no banner {banner!r}:\n{stderr[-2000:]}")
+        return process, int(match.group(1))
+
+    yield start
+    for process in processes:
+        if process.poll() is None:
+            process.kill()
+        process.communicate()

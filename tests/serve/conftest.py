@@ -7,13 +7,11 @@ serving state (reloads, closed queues) stay isolated.
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.corpus.sink import write_structured_jsonl
 from repro.index import IndexBuilder
-from repro.serve import ModelRegistry, TaggingService, make_server
+from repro.serve import ModelRegistry, SearchService, TaggingService, start_in_thread
 
 
 @pytest.fixture(scope="session")
@@ -57,51 +55,20 @@ def service(registry):
 
 @pytest.fixture()
 def server(service):
-    """A running HTTP server on an OS-assigned port (stopped after the test)."""
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-@pytest.fixture()
-def aio_server(service):
-    """A running asyncio server on a background event loop (closed after)."""
-    from repro.serve import start_in_thread
-
+    """A running HTTP server on an OS-assigned port, on a background event
+    loop (closed after the test); connect to ``server.port``."""
     with start_in_thread(service) as handle:
-        yield handle
-
-
-@pytest.fixture()
-def aio_search_server(service, search_service):
-    """A running asyncio server with POST /v1/search enabled."""
-    from repro.serve import start_in_thread
-
-    with start_in_thread(service, search=search_service) as handle:
         yield handle
 
 
 @pytest.fixture()
 def search_service(index_path):
     """A search service over a fresh registry with the index loaded."""
-    from repro.serve import SearchService
-
     return SearchService.from_artifact(index_path)
 
 
 @pytest.fixture()
 def search_server(service, search_service):
     """A running HTTP server with POST /v1/search enabled."""
-    server = make_server(service, search=search_service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
+    with start_in_thread(service, search=search_service) as handle:
+        yield handle

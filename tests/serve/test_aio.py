@@ -1,23 +1,24 @@
-"""Tests for the asyncio HTTP front end.
+"""Tests for what the asyncio HTTP front end adds on top of its endpoints.
 
-The async server must answer byte-identically to the threaded server for
-every buffered endpoint (both run the same route logic over the same
-facades), plus everything only it provides: NDJSON streaming, admission
-control with 429 + Retry-After shedding, request deadlines, and keep-alive
-pipelining on one event loop.
+Wire parity (every buffered response body is byte-identical to the route
+document built in-process over the same facades), NDJSON streaming,
+admission control with 429 + Retry-After shedding and request deadlines;
+the endpoints, error mapping and keep-alive framing are covered in
+``test_http.py``.
 """
 
 import contextlib
 import http.client
 import json
-import socket
 import threading
 
 import pytest
 
+from repro.errors import ReproError
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
+    routes,
     start_in_thread,
 )
 
@@ -71,34 +72,6 @@ def _stream_request(port, path, body):
         connection.close()
 
 
-def _read_response(reader):
-    """Parse one HTTP response from a socket file (for pipelining tests)."""
-    status_line = reader.readline()
-    if not status_line:
-        return None
-    headers = {}
-    while True:
-        line = reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    if "content-length" in headers:
-        body = reader.read(int(headers["content-length"]))
-    elif headers.get("transfer-encoding") == "chunked":
-        body = b""
-        while True:
-            size = int(reader.readline().strip(), 16)
-            chunk = reader.read(size)
-            reader.read(2)
-            if size == 0:
-                break
-            body += chunk
-    else:
-        body = b""
-    return int(status_line.split()[1]), headers, body
-
-
 @contextlib.contextmanager
 def _slow_instruction_decode(service):
     """Block the instruction queue's decode until ``release`` is set."""
@@ -127,176 +100,103 @@ LINES = [
 ]
 
 
-class TestThreadedParity:
-    """Both front ends must answer the same bytes over the same facades."""
+QUERY = "ingredient:sugar OR process:mix"
 
-    def test_healthz_is_byte_identical(self, server, aio_server):
-        threaded = _raw_request(server.server_address[1], "GET", "/healthz")
-        asynced = _raw_request(aio_server.port, "GET", "/healthz")
-        assert threaded == asynced
 
-    def test_tag_is_byte_identical(self, server, aio_server):
-        body = {"section": "instruction", "lines": LINES}
-        threaded = _raw_request(server.server_address[1], "POST", "/v1/tag", body=body)
-        asynced = _raw_request(aio_server.port, "POST", "/v1/tag", body=body)
-        assert threaded[0] == asynced[0] == 200
-        assert threaded[1] == asynced[1]
+def _search(search, body):
+    """What ``POST /v1/search`` computes for ``body``, called in-process."""
+    query, limit, options = routes.search_arguments(body)
+    return search.search(query, limit=limit, **options)
 
-    def test_search_is_byte_identical(self, search_server, aio_search_server):
-        body = {"query": "ingredient:sugar OR process:mix", "limit": 5}
-        threaded = _raw_request(
-            search_server.server_address[1], "POST", "/v1/search", body=body
-        )
-        asynced = _raw_request(aio_search_server.port, "POST", "/v1/search", body=body)
-        assert threaded[0] == asynced[0] == 200
-        assert threaded[1] == asynced[1]
 
-    def test_ranked_faceted_search_is_byte_identical(
-        self, search_server, aio_search_server
+#: Buffered 200 responses: (method, path, body, in-process document builder).
+SERVED = {
+    "healthz": ("GET", "/healthz", None, routes.health_document),
+    "tag-instruction": (
+        "POST", "/v1/tag", {"section": "instruction", "lines": LINES},
+        lambda service, _: routes.tag_document(
+            service, service.tag_lines("instruction", LINES)
+        ),
+    ),
+    "tag-ingredient-line": (
+        "POST", "/v1/tag", {"section": "ingredient", "line": "2 cups sugar"},
+        lambda service, _: routes.tag_document(
+            service, service.tag_lines("ingredient", ["2 cups sugar"])
+        ),
+    ),
+    "search": (
+        "POST", "/v1/search", {"query": QUERY, "limit": 5},
+        lambda _, search: _search(search, {"query": QUERY, "limit": 5}),
+    ),
+    "search-ranked-faceted": (
+        "POST", "/v1/search",
+        {"query": QUERY, "limit": 5, "rank": True, "facets": ["ingredient", "process"]},
+        lambda _, search: _search(
+            search,
+            {"query": QUERY, "limit": 5, "rank": True, "facets": ["ingredient", "process"]},
+        ),
+    ),
+    "reload-unchanged": (
+        "POST", "/v1/reload", {},
+        lambda service, search: routes.reload_document(service, search, {}),
+    ),
+}
+
+#: Refused requests: (path, body); the same body raises in-process.
+REFUSED = {
+    "unknown-section": ("/v1/tag", {"section": "dessert", "lines": ["x"]}),
+    "non-string-lines": ("/v1/tag", {"lines": [1, 2]}),
+    "rank-not-a-bool": ("/v1/search", {"query": "process:mix", "rank": "yes"}),
+    "facets-not-a-list": ("/v1/search", {"query": "process:mix", "facets": "ingredient"}),
+    "facets-not-strings": (
+        "/v1/search", {"query": "process:mix", "facets": ["ingredient", 7]},
+    ),
+    "unknown-facet-field": ("/v1/search", {"query": "process:mix", "facets": ["colour"]}),
+    "blank-query": ("/v1/search", {"query": "   "}),
+    "negative-limit": ("/v1/search", {"query": "process:mix", "limit": -1}),
+}
+
+
+def _refuse_in_process(service, search, path, body):
+    if path == "/v1/tag":
+        section, lines = routes.validate_tag_body(body)
+        service.tag_lines(section, lines)
+    else:
+        _search(search, body)
+
+
+class TestInProcessParity:
+    """The server adds framing only: each body it sends is the JSON of the
+    route document (or error) the same facades produce in-process."""
+
+    @pytest.mark.parametrize("case", list(SERVED))
+    def test_served_body_is_the_in_process_document(
+        self, search_server, service, search_service, case
     ):
-        for body in (
-            {
-                "query": "ingredient:sugar OR process:mix",
-                "limit": 5,
-                "rank": True,
-                "facets": ["ingredient", "process"],
-            },
-            # Malformed extensions must shed with the same 400 body too.
-            {"query": "process:mix", "rank": "yes"},
-            {"query": "process:mix", "facets": "ingredient"},
-            {"query": "process:mix", "facets": ["ingredient", 7]},
-        ):
-            threaded = _raw_request(
-                search_server.server_address[1], "POST", "/v1/search", body=body
-            )
-            asynced = _raw_request(
-                aio_search_server.port, "POST", "/v1/search", body=body
-            )
-            assert threaded[0] == asynced[0]
-            assert threaded[1] == asynced[1]
-
-    def test_error_bodies_match_the_threaded_server(self, server, aio_server):
-        for method, path, kwargs in (
-            ("GET", "/nope", {}),
-            ("POST", "/v1/nope", {"body": {}}),
-            ("POST", "/v1/tag", {"body": {"section": "dessert", "lines": ["x"]}}),
-            ("POST", "/v1/tag", {"raw_body": b"{not json"}),
-        ):
-            threaded_status, threaded_doc, _ = _request(
-                server.server_address[1], method, path, **kwargs
-            )
-            async_status, async_doc, _ = _request(
-                aio_server.port, method, path, **kwargs
-            )
-            assert (async_status, async_doc) == (threaded_status, threaded_doc)
-
-    def test_search_without_an_index_is_503(self, aio_server):
-        status, document, _ = _request(
-            aio_server.port, "POST", "/v1/search", body={"query": "ingredient:salt"}
-        )
-        assert status == 503
-        assert "no recipe index" in document["error"]
-
-    def test_reload_endpoint_hot_swaps(self, aio_server):
-        status, document, _ = _request(
-            aio_server.port, "POST", "/v1/reload", body={"force": True}
-        )
+        method, path, body, build = SERVED[case]
+        status, payload = _raw_request(search_server.port, method, path, body=body)
         assert status == 200
-        assert document["swapped"] is True
-        status, document, _ = _request(aio_server.port, "POST", "/v1/reload", body={})
-        assert status == 200
-        assert document["swapped"] is False
+        assert payload == json.dumps(build(service, search_service)).encode("utf-8")
 
-
-class TestProtocol:
-    def test_keep_alive_pipelined_posts_answer_in_order(self, aio_server):
-        """Two POSTs written back-to-back on one socket get two in-order
-        responses on the same socket — the event loop serves pipelined
-        requests without a round trip between them."""
-        first = json.dumps({"section": "ingredient", "lines": ["2 cups sugar"]}).encode()
-        second = json.dumps({"section": "instruction", "lines": ["Mix well."]}).encode()
-        request = b"".join(
-            b"POST /v1/tag HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
-            + f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload
-            for payload in (first, second)
-        )
-        with socket.create_connection(("127.0.0.1", aio_server.port), timeout=30) as sock:
-            sock.sendall(request)
-            reader = sock.makefile("rb")
-            one = _read_response(reader)
-            two = _read_response(reader)
-        assert one[0] == 200 and two[0] == 200
-        assert json.loads(one[2])["results"][0]["tokens"] == ["2", "cups", "sugar"]
-        assert json.loads(two[2])["results"][0]["tokens"] == ["Mix", "well", "."]
-
-    def test_chunked_request_body_is_411_length_required(self, aio_server):
-        with socket.create_connection(("127.0.0.1", aio_server.port), timeout=30) as sock:
-            sock.sendall(
-                b"POST /v1/tag HTTP/1.1\r\nHost: t\r\n"
-                b"Transfer-Encoding: chunked\r\n\r\n"
-                b"5\r\nhello\r\n0\r\n\r\n"
-            )
-            reader = sock.makefile("rb")
-            status, headers, body = _read_response(reader)
-            assert status == 411
-            assert headers.get("connection") == "close"
-            assert "Content-Length" in json.loads(body)["error"]
-            assert reader.read() == b""  # the server really closed the socket
-
-    @pytest.mark.parametrize("bad_length", ["banana", "-5", "1e3"])
-    def test_malformed_content_length_is_400_and_closes(self, aio_server, bad_length):
-        with socket.create_connection(("127.0.0.1", aio_server.port), timeout=30) as sock:
-            sock.sendall(
-                f"POST /v1/tag HTTP/1.1\r\nHost: t\r\n"
-                f"Content-Length: {bad_length}\r\n\r\n".encode()
-            )
-            reader = sock.makefile("rb")
-            status, headers, body = _read_response(reader)
-            assert status == 400
-            assert headers.get("connection") == "close"
-            assert "Content-Length" in json.loads(body)["error"]
-            assert reader.read() == b""
-
-    def test_unread_body_does_not_desync_keep_alive(self, aio_server):
-        connection = http.client.HTTPConnection("127.0.0.1", aio_server.port)
-        try:
-            connection.request(
-                "POST", "/v2/wrong", body=json.dumps({"lines": ["some body"]})
-            )
-            assert connection.getresponse().read()  # drain the 404
-            connection.request("GET", "/healthz")  # same socket, next request
-            response = connection.getresponse()
-            assert response.status == 200
-            assert json.loads(response.read())["status"] == "ok"
-        finally:
-            connection.close()
-
-    def test_unsupported_method_is_405(self, aio_server):
-        status, document, _ = _request(aio_server.port, "PUT", "/v1/tag", body={})
-        assert status == 405
-        assert "PUT" in document["error"]
-
-    def test_oversized_body_is_rejected_with_400_and_close(self, aio_server):
-        huge = str(9 * 1024 * 1024)
-        with socket.create_connection(("127.0.0.1", aio_server.port), timeout=30) as sock:
-            sock.sendall(
-                f"POST /v1/tag HTTP/1.1\r\nHost: t\r\n"
-                f"Content-Length: {huge}\r\n\r\n".encode()
-            )
-            reader = sock.makefile("rb")
-            status, headers, body = _read_response(reader)
-            assert status == 400
-            assert headers.get("connection") == "close"
-            assert "exceeds" in json.loads(body)["error"]
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_error_body_is_the_in_process_error(
+        self, search_server, service, search_service, case
+    ):
+        path, body = REFUSED[case]
+        with pytest.raises(ReproError) as raised:
+            _refuse_in_process(service, search_service, path, body)
+        status, payload = _raw_request(search_server.port, "POST", path, body=body)
+        assert status == routes.error_status(raised.value)[0] == 400
+        assert payload == json.dumps({"error": str(raised.value)}).encode("utf-8")
 
 
 class TestStreaming:
-    def test_tag_stream_matches_the_buffered_response(self, aio_server):
+    def test_tag_stream_matches_the_buffered_response(self, server):
         body = {"section": "instruction", "lines": LINES}
-        status, buffered, _ = _request(aio_server.port, "POST", "/v1/tag", body=body)
+        status, buffered, _ = _request(server.port, "POST", "/v1/tag", body=body)
         assert status == 200
         status, headers, lines = _stream_request(
-            aio_server.port, "/v1/tag", {**body, "stream": True}
+            server.port, "/v1/tag", {**body, "stream": True}
         )
         assert status == 200
         assert headers["content-type"] == "application/x-ndjson"
@@ -306,22 +206,22 @@ class TestStreaming:
         assert meta["lines"] == len(LINES)
         assert results == buffered["results"]
 
-    def test_tag_stream_handles_trailing_blank_lines(self, aio_server):
+    def test_tag_stream_handles_trailing_blank_lines(self, server):
         body = {"section": "ingredient", "lines": ["1 cup milk", "", ""], "stream": True}
-        status, _, lines = _stream_request(aio_server.port, "/v1/tag", body)
+        status, _, lines = _stream_request(server.port, "/v1/tag", body)
         assert status == 200
         assert len(lines) == 4  # meta + one object per input line
         assert lines[2] == {"tokens": [], "tags": []}
         assert lines[3] == {"tokens": [], "tags": []}
 
-    def test_search_stream_matches_the_buffered_response(self, aio_search_server):
+    def test_search_stream_matches_the_buffered_response(self, search_server):
         body = {"query": "ingredient:sugar OR process:mix"}
         status, buffered, _ = _request(
-            aio_search_server.port, "POST", "/v1/search", body=body
+            search_server.port, "POST", "/v1/search", body=body
         )
         assert status == 200
         status, headers, lines = _stream_request(
-            aio_search_server.port, "/v1/search", {**body, "stream": True}
+            search_server.port, "/v1/search", {**body, "stream": True}
         )
         assert status == 200
         assert headers["content-type"] == "application/x-ndjson"
@@ -331,9 +231,9 @@ class TestStreaming:
         }
         assert results == buffered["results"]
 
-    def test_stream_error_before_headers_is_a_clean_400(self, aio_server):
+    def test_stream_error_before_headers_is_a_clean_400(self, server):
         status, document, _ = _request(
-            aio_server.port, "POST", "/v1/tag",
+            server.port, "POST", "/v1/tag",
             body={"section": "dessert", "lines": ["x"], "stream": True},
         )
         assert status == 400

@@ -1,20 +1,19 @@
-"""Tests for the stdlib HTTP front end."""
+"""Tests for the HTTP front end: endpoints, error mapping, keep-alive framing."""
 
 import http.client
 import json
 import shutil
 import socket
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.serve import ModelRegistry, TaggingService, make_server
+from repro.serve import ModelRegistry, TaggingService, start_in_thread
 
 
 def _request(server, path, *, body=None, raw_body=None):
-    port = server.server_address[1]
+    port = server.port
     url = f"http://127.0.0.1:{port}{path}"
     data = raw_body if raw_body is not None else (
         json.dumps(body).encode("utf-8") if body is not None else None
@@ -90,6 +89,16 @@ class TestErrorHandling:
         assert _request(server, "/nope")[0] == 404
         assert _request(server, "/v1/nope", body={})[0] == 404
 
+    def test_unsupported_method_is_405(self, server):
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            connection.request("PUT", "/v1/tag", body=b"{}")
+            response = connection.getresponse()
+            assert response.status == 405
+            assert "PUT" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+
     def test_unknown_section_is_400_and_lists_the_valid_sections(self, server):
         status, document = _request(
             server, "/v1/tag", body={"section": "dessert", "lines": ["x"]}
@@ -121,7 +130,7 @@ class TestErrorHandling:
         a 400, and the connection must close (the body length is unknowable,
         so keep-alive framing cannot be trusted)."""
         with socket.create_connection(
-            ("127.0.0.1", server.server_address[1]), timeout=10
+            ("127.0.0.1", server.port), timeout=10
         ) as connection:
             connection.sendall(
                 (
@@ -148,7 +157,7 @@ class TestErrorHandling:
 
     def test_keep_alive_connection_survives_a_404_with_body(self, server):
         """An unread POST body must not desync the persistent connection."""
-        connection = http.client.HTTPConnection("127.0.0.1", server.server_address[1])
+        connection = http.client.HTTPConnection("127.0.0.1", server.port)
         try:
             body = json.dumps({"lines": ["some body"]})
             connection.request("POST", "/v2/wrong", body=body)
@@ -164,7 +173,7 @@ class TestErrorHandling:
         """A chunked body cannot be framed without reading it; the server
         must answer 411 and close rather than let keep-alive desync."""
         with socket.create_connection(
-            ("127.0.0.1", server.server_address[1]), timeout=10
+            ("127.0.0.1", server.port), timeout=10
         ) as connection:
             connection.sendall(
                 b"POST /v1/tag HTTP/1.1\r\nHost: t\r\n"
@@ -186,7 +195,7 @@ class TestErrorHandling:
         """An 8 MiB+ Content-Length is refused before reading; the unread
         body makes the connection unframeable, so it must close."""
         with socket.create_connection(
-            ("127.0.0.1", server.server_address[1]), timeout=10
+            ("127.0.0.1", server.port), timeout=10
         ) as connection:
             connection.sendall(
                 f"POST /v1/tag HTTP/1.1\r\nHost: t\r\n"
@@ -214,7 +223,7 @@ class TestErrorHandling:
             for payload in (first, second)
         )
         with socket.create_connection(
-            ("127.0.0.1", server.server_address[1]), timeout=30
+            ("127.0.0.1", server.port), timeout=30
         ) as connection:
             connection.sendall(request)
             reader = connection.makefile("rb")
@@ -242,20 +251,15 @@ class TestErrorHandling:
         shutil.copy(bundle_path, artifact)
         registry = ModelRegistry()
         registry.load(artifact)
-        with TaggingService(registry, max_delay_s=0.001) as service:
-            server = make_server(service, port=0)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            try:
-                artifact.unlink()
-                status, document = _request(server, "/v1/reload", body={"force": True})
-                assert status == 500
-                assert "error" in document
-                # The live model keeps serving.
-                status, _ = _request(
-                    server, "/v1/tag", body={"section": "ingredient", "lines": ["1 cup milk"]}
-                )
-                assert status == 200
-            finally:
-                server.shutdown()
-                server.server_close()
+        with TaggingService(registry, max_delay_s=0.001) as service, start_in_thread(
+            service
+        ) as server:
+            artifact.unlink()
+            status, document = _request(server, "/v1/reload", body={"force": True})
+            assert status == 500
+            assert "error" in document
+            # The live model keeps serving.
+            status, _ = _request(
+                server, "/v1/tag", body={"section": "ingredient", "lines": ["1 cup milk"]}
+            )
+            assert status == 200

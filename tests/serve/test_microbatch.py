@@ -55,6 +55,24 @@ class TestCoalescing:
             results = queue.tag_many(sequences, timeout=10)
         assert results == [[f"W{i}"] for i in range(50)]
 
+    def test_tag_many_split_across_flushes_keeps_order(self):
+        """One tag_many call whose sequences land in several kernel calls
+        (mixed lengths, small batches) still returns them in order."""
+        recorder = Recorder()
+        sequences = [[f"w{i}"] * (1 + i % 4) for i in range(23)]
+        with MicrobatchQueue(recorder, max_batch=3, max_delay_s=0.0) as queue:
+            results = queue.tag_many(sequences, timeout=10)
+        assert results == [[token.upper() for token in tokens] for tokens in sequences]
+        assert len(recorder.calls) > 1
+        assert queue.stats()["requests_total"] == 23
+
+    def test_tag_many_of_nothing_returns_without_queueing(self):
+        recorder = Recorder()
+        with MicrobatchQueue(recorder, max_delay_s=0.0) as queue:
+            assert queue.tag_many([], timeout=1) == []
+        assert recorder.calls == []
+        assert queue.stats()["requests_total"] == 0
+
 
 class TestModelParity:
     def test_queue_output_is_byte_identical_to_tag_batch(self, modeler, sample_phrases):
@@ -87,10 +105,26 @@ class TestFailureModes:
             return results[:extra] if extra < 0 else results + [["BOGUS"]]
 
         with MicrobatchQueue(liar, max_delay_s=0.02) as queue:
-            futures = queue.submit_many([["a"], ["b"], ["c"]])
-            for future in futures:
-                with pytest.raises(ReproError, match="3 requests"):
-                    future.result(timeout=5)
+            group = queue.submit_many([["a"], ["b"], ["c"]])
+            with pytest.raises(ReproError, match="3 requests"):
+                group.result(timeout=5)
+
+    def test_flush_exception_fails_a_tag_many_call(self):
+        def explode(_token_sequences):
+            raise DataError("decode blew up")
+
+        with MicrobatchQueue(explode, max_delay_s=0.0) as queue:
+            with pytest.raises(DataError, match="decode blew up"):
+                queue.tag_many([["a"], ["b"]], timeout=10)
+
+    def test_saturated_tag_many_enqueues_nothing(self):
+        recorder = Recorder()
+        with MicrobatchQueue(recorder, max_delay_s=0.0, max_pending=2) as queue:
+            with pytest.raises(QueueSaturatedError, match="saturated"):
+                queue.tag_many([["a"], ["b"], ["c"]], timeout=10)
+            assert queue.stats()["requests_total"] == 0
+            assert queue.tag_many([["d"]], timeout=10) == [["D"]]
+        assert recorder.calls == [[("d",)]]
 
     def test_queue_survives_a_lying_flush(self):
         state = {"lie": True}
@@ -209,6 +243,25 @@ class TestDeadlinesAndCancellation:
             release.set()
             queue.close()
 
+    def test_tag_many_timeout_counts_the_results_already_in(self):
+        """A call whose first flush finished and second is stuck reports
+        the partial progress in its timeout message."""
+        release = threading.Event()
+
+        def gated(token_sequences):
+            if tuple(token_sequences[0]) == ("stuck",):
+                assert release.wait(timeout=10)
+            return [list(tokens) for tokens in token_sequences]
+
+        queue = MicrobatchQueue(gated, max_batch=1, max_delay_s=0.0)
+        try:
+            with pytest.raises(TimeoutError) as excinfo:
+                queue.tag_many([["a"], ["stuck"]], timeout=0.3)
+            assert "1 of 2 results" in str(excinfo.value)
+        finally:
+            release.set()
+            queue.close()
+
     def test_cancelled_futures_are_dropped_before_decoding(self):
         """Futures cancelled while queued never reach tag_batch, and the
         drop is visible in stats()."""
@@ -238,6 +291,36 @@ class TestDeadlinesAndCancellation:
         flushed = [tokens for call in recorder.calls for tokens in call]
         assert ("doomed",) not in flushed
         assert queue.stats()["cancelled_total"] == 1
+
+    def test_cancelled_group_is_dropped_before_decoding(self):
+        """Cancelling a queued submit_many future drops every sequence of
+        the group (each counted in stats()) and leaves other work alone."""
+        recorder = Recorder()
+        blocker_started = threading.Event()
+        blocker_release = threading.Event()
+
+        def gated(token_sequences):
+            if tuple(token_sequences[0]) == ("block",):
+                blocker_started.set()
+                assert blocker_release.wait(timeout=10)
+            return recorder(token_sequences)
+
+        queue = MicrobatchQueue(gated, max_delay_s=0.0)
+        try:
+            blocker = queue.submit(["block"])
+            assert blocker_started.wait(timeout=5)
+            doomed = queue.submit_many([["x"], ["y"], ["z"]])
+            survivor = queue.submit_many([["kept"]])
+            assert doomed.cancel()
+            blocker_release.set()
+            assert survivor.result(timeout=5) == [["KEPT"]]
+            assert blocker.result(timeout=5) == ["BLOCK"]
+        finally:
+            blocker_release.set()
+            queue.close()
+        flushed = {tokens for call in recorder.calls for tokens in call}
+        assert flushed.isdisjoint({("x",), ("y",), ("z",)})
+        assert queue.stats()["cancelled_total"] == 3
 
     def test_cancellation_racing_a_flush_does_not_kill_the_worker(self):
         """A future cancelled after the flush snapshot must not crash the

@@ -12,7 +12,7 @@ from repro.serve import SearchService, index_registry
 
 
 def _request(server, path, *, body=None):
-    port = server.server_address[1]
+    port = server.port
     url = f"http://127.0.0.1:{port}{path}"
     data = json.dumps(body).encode("utf-8") if body is not None else None
     request = urllib.request.Request(
@@ -299,22 +299,85 @@ class TestLazyCountersOverServe:
         assert service.stats()["index"]["lazy"]["hits"] > after["hits"]
 
     def test_stats_endpoint_carries_the_counters(self, service, v2_manifest_path):
-        import threading
+        from repro.serve import start_in_thread
 
-        from repro.serve import SearchService as Service
-        from repro.serve import make_server
-
-        search = Service.from_artifact(v2_manifest_path)
-        server = make_server(service, search=search, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        search = SearchService.from_artifact(v2_manifest_path)
+        with start_in_thread(service, search=search) as server:
             _request(server, "/v1/search", body={"query": "process:mix"})
             status, document = _request(server, "/stats")
-        finally:
-            server.shutdown()
-            server.server_close()
         assert status == 200
         lazy = document["index"]["index"]["lazy"]
         assert lazy["decoded_terms"] > 0
         assert set(lazy["shards"]) == {"0", "1", "2"}
+
+
+class TestFacetedSearchEvaluatesOnce:
+    """A faceted ``/v1/search`` evaluates its query once per shard."""
+
+    FIELDS = ["ingredient", "process"]
+
+    @pytest.fixture()
+    def tombstoned(self, structured_path, tmp_path):
+        """A 3-shard v2 manifest with three recipes tombstoned; returns
+        ``(manifest path, surviving recipes)``."""
+        from repro.corpus.sink import iter_structured_jsonl
+        from repro.index import build_sharded_index, delete_docs
+
+        path = tmp_path / "manifest.json"
+        build_sharded_index(structured_path, path, num_shards=3, format="v2")
+        recipes = list(iter_structured_jsonl(structured_path))
+        dead = {recipe.recipe_id for recipe in recipes[1:8:3]}
+        delete_docs(path, recipe_ids=sorted(dead))
+        return path, [recipe for recipe in recipes if recipe.recipe_id not in dead]
+
+    def _oracle(self, recipes, query):
+        """Brute-force facet counts over the surviving recipes."""
+        from repro.index import extract_entities, matches_recipe
+
+        counters = {field: {} for field in self.FIELDS}
+        matched = [recipe for recipe in recipes if matches_recipe(query, recipe)]
+        for recipe in matched:
+            entities = extract_entities(recipe)
+            for field in self.FIELDS:
+                for term in entities[field]:
+                    counters[field][term] = counters[field].get(term, 0) + 1
+        return len(matched), {
+            field: [
+                {"term": term, "count": count}
+                for term, count in sorted(counter.items(), key=lambda row: (-row[1], row[0]))[:10]
+            ]
+            for field, counter in counters.items()
+        }
+
+    def test_one_live_evaluation_per_shard(self, service, tombstoned, monkeypatch):
+        from collections import Counter
+
+        from repro.serve import start_in_thread
+
+        path, survivors = tombstoned
+        evaluations = Counter()
+        original = QueryEngine._live_eval
+
+        def counting(engine, shard_index, node):
+            evaluations[shard_index] += 1
+            return original(engine, shard_index, node)
+
+        monkeypatch.setattr(QueryEngine, "_live_eval", counting)
+        search = SearchService.from_artifact(path)
+        index = search.record().bundle
+        assert index.tombstone_count == 3
+        query = "ingredient:sugar OR process:mix"
+        total, facets = self._oracle(survivors, query)
+        assert total > 0
+        with start_in_thread(service, search=search) as server:
+            for extra in ({}, {"rank": True}, {"limit": 0}):
+                evaluations.clear()
+                status, document = _request(
+                    server,
+                    "/v1/search",
+                    body={"query": query, "facets": self.FIELDS, **extra},
+                )
+                assert status == 200
+                assert evaluations == {shard: 1 for shard in range(index.shard_count)}
+                assert document["total"] == total
+                assert document["facets"] == facets

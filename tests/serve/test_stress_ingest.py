@@ -1,11 +1,11 @@
 """Live-ingestion stress: reads stay consistent while the index grows.
 
 Reader threads hammer ``POST /v1/search`` (boolean, ranked and faceted)
-through both front ends while an :class:`IngestDaemon` runs for real in
-the background — appending delta generations, tombstoning documents and
-compacting through the tiered policy, easily clearing ten manifest
-generations.  The serving side follows along via the search service's
-auto-reload (checking the manifest file on every search).
+while an :class:`IngestDaemon` runs for real in the background —
+appending delta generations, tombstoning documents and compacting through
+the tiered policy, easily clearing ten manifest generations.  The serving
+side follows along via the search service's auto-reload (checking the
+manifest file on every search).
 
 Validation is post-hoc and exact.  Shard files are immutable and the
 manifest is the only commit point, so every generation the daemon
@@ -24,7 +24,6 @@ response the storm recorded:
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import random
@@ -45,7 +44,7 @@ from repro.index import (
 )
 from repro.ingest import IngestDaemon, TieredCompactionPolicy
 from repro.persistence import FORMAT_VERSION, file_sha256, payload_checksum
-from repro.serve import SearchService, make_server, start_in_thread
+from repro.serve import SearchService, start_in_thread
 
 from tests.property.test_index_properties import _random_recipe
 
@@ -92,22 +91,6 @@ def _manifest_file_sha(manifest):
         "payload": payload,
     }
     return hashlib.sha256(json.dumps(envelope).encode("utf-8")).hexdigest()
-
-
-@contextlib.contextmanager
-def _running_server(front_end, service, search, ingest):
-    if front_end == "threaded":
-        server = make_server(service, search=search, ingest=ingest, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield server.server_address[1]
-        finally:
-            server.shutdown()
-            server.server_close()
-    else:
-        with start_in_thread(service, search=search, ingest=ingest) as handle:
-            yield handle.port
 
 
 class _Replayer:
@@ -180,11 +163,8 @@ class _Replayer:
         }
 
 
-@pytest.mark.parametrize("front_end", ["threaded", "async"])
-def test_reads_stay_consistent_under_live_ingest_and_compaction(
-    service, tmp_path, front_end
-):
-    rng = random.Random(front_end)
+def test_reads_stay_consistent_under_live_ingest_and_compaction(service, tmp_path):
+    rng = random.Random("async")
     recipe_by_id = {f"r{i:03d}": _random_recipe(rng, f"r{i:03d}") for i in range(15)}
     base = tmp_path / "base.jsonl"
     write_structured_jsonl(base, list(recipe_by_id.values()))
@@ -224,14 +204,14 @@ def test_reads_stay_consistent_under_live_ingest_and_compaction(
             elif kind == "facets":
                 body.update(facets=["ingredient", "process"], limit=0)
             try:
-                status, document = _post(port, "/v1/search", body)
+                status, document = _post(server.port, "/v1/search", body)
             except urllib.error.HTTPError as error:
                 http_errors.append(f"{error.code}: {error.read()!r}")
                 continue
             with response_lock:
                 responses.append((kind, query, document))
 
-    with _running_server(front_end, service, search, daemon) as port, daemon:
+    with start_in_thread(service, search=search, ingest=daemon) as server, daemon:
         readers = [
             threading.Thread(target=reader, args=(worker,), daemon=True)
             for worker in range(READER_THREADS)
@@ -271,7 +251,7 @@ def test_reads_stay_consistent_under_live_ingest_and_compaction(
             for thread in readers:
                 thread.join(timeout=30)
 
-        status, stats_doc = _get(port, "/stats")
+        status, stats_doc = _get(server.port, "/stats")
         assert status == 200
         assert stats_doc["ingest"]["generations_published"] >= 1
         assert stats_doc["ingest"]["compactions"] >= 1

@@ -25,7 +25,6 @@ manifest and every shard it lists were fully loaded and checksum-verified.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import random
 import threading
@@ -43,7 +42,7 @@ from repro.index import (
     migrate_manifest,
 )
 from repro.persistence import file_sha256
-from repro.serve import SearchService, make_server, start_in_thread
+from repro.serve import SearchService, start_in_thread
 
 from tests.property.test_index_properties import _random_recipe
 
@@ -129,26 +128,8 @@ def _publish(live_path, variant, generation):
     return file_sha256(live_path)
 
 
-@contextlib.contextmanager
-def _running_server(front_end, service, search):
-    """Run either front end over the same facades; yields the bound port."""
-    if front_end == "threaded":
-        server = make_server(service, search=search, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield server.server_address[1]
-        finally:
-            server.shutdown()
-            server.server_close()
-    else:
-        with start_in_thread(service, search=search) as handle:
-            yield handle.port
-
-
-@pytest.mark.parametrize("front_end", ["threaded", "async"])
 def test_stress_search_never_sees_a_torn_index_during_hot_swaps(
-    service, variants, tmp_path, front_end
+    service, variants, tmp_path
 ):
     live_path = tmp_path / "live.json"
     expected_by_sha = {}
@@ -163,7 +144,8 @@ def test_stress_search_never_sees_a_torn_index_during_hot_swaps(
     responses = [0]
     lock = threading.Lock()
 
-    with _running_server(front_end, service, search) as port:
+    with start_in_thread(service, search=search) as server:
+        port = server.port
 
         def hammer(worker):
             rng = random.Random(worker)

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import http.client
 import json
+import signal
 
 import pytest
 
@@ -32,6 +34,17 @@ class TestParser:
             assert name in EXPERIMENTS
 
 
+def _http(port, method, path, body=None):
+    """One request to a server on localhost; returns ``(status, document)``."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request(method, path, body=None if body is None else json.dumps(body))
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 class TestServingCommands:
     @pytest.fixture(scope="class")
     def bundle_path(self, modeler, tmp_path_factory):
@@ -56,6 +69,26 @@ class TestServingCommands:
         assert arguments.host == "127.0.0.1"
         assert arguments.port == 8080
         assert arguments.max_delay_ms == 2.0
+
+    def test_serve_accepts_the_async_flag_but_hides_it(self, capsys):
+        build_parser().parse_args(["serve", "--bundle", "b.json", "--async"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        assert "--async" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [[], ["--async"]], ids=["default", "async-flag"])
+    def test_serve_runs_the_admission_gated_server(self, bundle_path, serve_process, flags):
+        process, port = serve_process(
+            ["serve", "--bundle", str(bundle_path), "--port", "0", "--max-inflight", "3",
+             *flags]
+        )
+        body = {"section": "ingredient", "lines": ["2 cups sugar"]}
+        assert _http(port, "POST", "/v1/tag", body)[0] == 200
+        status, stats = _http(port, "GET", "/stats")
+        assert status == 200
+        assert stats["admission"]["tag"]["max_inflight"] == 3
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=30) == 0
 
     def test_tag_command_prints_json_per_line(self, bundle_path, modeler, capsys):
         exit_code = main(
